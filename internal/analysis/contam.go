@@ -38,13 +38,14 @@ type Hazard struct {
 	Carrier, Victim ir.FluidID
 	// Reagents are the foreign reagent classes transferred, sorted.
 	Reagents []string
-	// Cell is one electrode where the crossing happens; Cells counts how
-	// many distinct electrodes this carrier/victim pair shares.
-	Cell  arch.Point
-	Cells int
-	// CarrierScope and VictimScope name the sequences ("block x",
-	// "edge a->b") in which each droplet touches the shared electrodes.
+	// Cells are the distinct hazardous electrodes this carrier/victim pair
+	// shares, sorted by (Y, X).
+	Cells []arch.Point
+	// CarrierScope and VictimScope name the first sequence pair, in sorted
+	// scope order, in which the crossing happens ("block x", "edge a->b");
+	// Cell is the smallest hazardous electrode, by (Y, X), of that pair.
 	CarrierScope, VictimScope string
+	Cell                      arch.Point
 }
 
 // WashSuggestion proposes one wash insertion point: after the named
@@ -62,14 +63,40 @@ type WashSuggestion struct {
 // seqNode identifies one activation sequence in execution order: a block
 // or an edge.
 type seqNode struct {
-	scope string
-	succs []*seqNode
-	// touches per cell, in replay order.
-	byCell map[arch.Point][]verify.Touch
+	scope   string
+	succs   []*seqNode
+	touches []verify.Touch
+}
+
+// cellEntry is one droplet's presence in one sequence on one electrode: the
+// first and last cycle it touches the cell there.
+type cellEntry struct {
+	seq, fluid  int
+	first, last int
+}
+
+// pairAgg aggregates the crossings of one carrier/victim pair. foreign is
+// computed once per pair; an empty foreign set marks a harmless pair.
+type pairAgg struct {
+	foreign []string
+	// s1, s2 and cell locate the diagnostic: the smallest scope pair, then
+	// the smallest cell of that pair. cells lists every hazardous cell in
+	// sweep order.
+	s1, s2 int
+	cell   arch.Point
+	cells  []arch.Point
 }
 
 // analyzeContamination runs the full cross-contamination analysis, emitting
 // BF320/BF321, and returns the hazards and suggestions.
+//
+// It sweeps each unwashed electrode once. The cell's touches collapse into
+// distinct (sequence, droplet) entries with first and last touch cycle, and
+// every ordered entry pair in execution order is a crossing: distinct
+// sequences must be ordered by reachability, and within one sequence the
+// carrier must arrive before the victim's last touch unless the sequence
+// lies on a cycle. A crossing is hazardous when the carrier's reagents are
+// not a subset of the victim's.
 func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard, []WashSuggestion) {
 	g := u.Graph
 	if u.Exec == nil || g == nil || u.Chip == nil {
@@ -82,10 +109,7 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 	nodes := map[string]*seqNode{}
 	blockNode := map[int]*seqNode{}
 	mk := func(scope string, touches []verify.Touch) *seqNode {
-		n := &seqNode{scope: scope, byCell: map[arch.Point][]verify.Touch{}}
-		for _, t := range touches {
-			n.byCell[t.Cell] = append(n.byCell[t.Cell], t)
-		}
+		n := &seqNode{scope: scope, touches: touches}
 		nodes[scope] = n
 		return n
 	}
@@ -97,85 +121,96 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 		blockNode[e.From.ID].succs = append(blockNode[e.From.ID].succs, en)
 		en.succs = append(en.succs, blockNode[e.To.ID])
 	}
-	reach := reachability(nodes)
-
-	washed := washedCells(conf.Washes)
-
-	// Find every hazardous ordered crossing, aggregated per carrier/victim
-	// pair.
-	type pairKey struct{ carrier, victim ir.FluidID }
-	type pairAgg struct {
-		reagents map[string]bool
-		cells    map[arch.Point]bool
-		first    Hazard
-	}
-	pairs := map[pairKey]*pairAgg{}
-	// carrierCells groups hazardous cells by the scope leaving the residue,
-	// for wash suggestions.
-	carrierCells := map[string]map[arch.Point]bool{}
-
 	scopes := sortedScopes(nodes)
-	for _, s1 := range scopes {
-		n1 := nodes[s1]
-		for _, s2 := range scopes {
-			n2 := nodes[s2]
-			sameSeq := n1 == n2
-			if !sameSeq && !reach[s1][s2] {
+	reach := reachability(scopes, nodes)
+
+	// Collapse touches into distinct (sequence, droplet) entries per cell.
+	washed := washedCells(conf.Washes)
+	fluidIdx := map[ir.FluidID]int{}
+	var fluids []ir.FluidID
+	byCell := map[arch.Point][]cellEntry{}
+	type entryKey struct {
+		cell  arch.Point
+		fluid int
+	}
+	for i, s := range scopes {
+		at := map[entryKey]int{}
+		for _, t := range nodes[s].touches {
+			if washed[t.Cell] {
 				continue
 			}
-			selfLoop := reach[s1][s1]
-			for cell, ts1 := range n1.byCell {
-				if washed[cell] {
+			f, ok := fluidIdx[t.Fluid]
+			if !ok {
+				f = len(fluids)
+				fluidIdx[t.Fluid] = f
+				fluids = append(fluids, t.Fluid)
+			}
+			k := entryKey{t.Cell, f}
+			if j, ok := at[k]; ok {
+				e := &byCell[t.Cell][j]
+				e.first = min(e.first, t.Cycle)
+				e.last = max(e.last, t.Cycle)
+				continue
+			}
+			at[k] = len(byCell[t.Cell])
+			byCell[t.Cell] = append(byCell[t.Cell], cellEntry{seq: i, fluid: f, first: t.Cycle, last: t.Cycle})
+		}
+	}
+
+	// Sweep every cell in (Y, X) order, so each pair's and each carrier
+	// scope's cell lists come out sorted and the first cell recorded for a
+	// scope pair is its smallest.
+	pairs := map[[2]int]*pairAgg{}
+	carrierCells := make([][]arch.Point, len(scopes))
+	cells := make([]arch.Point, 0, len(byCell))
+	for c := range byCell {
+		cells = append(cells, c)
+	}
+	sortPoints(cells)
+	for _, cell := range cells {
+		es := byCell[cell]
+		for _, a := range es {
+			for _, b := range es {
+				if a.fluid == b.fluid {
 					continue
 				}
-				ts2, ok := n2.byCell[cell]
-				if !ok {
-					continue
-				}
-				for _, t1 := range ts1 {
-					for _, t2 := range ts2 {
-						if t1.Fluid == t2.Fluid {
-							continue
-						}
-						if sameSeq && t2.Cycle <= t1.Cycle && !selfLoop {
-							continue
-						}
-						foreign := subtract(reagents[t1.Fluid], reagents[t2.Fluid])
-						if len(foreign) == 0 {
-							continue
-						}
-						k := pairKey{t1.Fluid, t2.Fluid}
-						agg := pairs[k]
-						if agg == nil {
-							agg = &pairAgg{reagents: map[string]bool{}, cells: map[arch.Point]bool{}}
-							agg.first = Hazard{
-								Carrier: t1.Fluid, Victim: t2.Fluid,
-								Cell: cell, CarrierScope: s1, VictimScope: s2,
-							}
-							pairs[k] = agg
-						}
-						for _, r := range foreign {
-							agg.reagents[r] = true
-						}
-						agg.cells[cell] = true
-						cc := carrierCells[s1]
-						if cc == nil {
-							cc = map[arch.Point]bool{}
-							carrierCells[s1] = cc
-						}
-						cc[cell] = true
+				if a.seq == b.seq {
+					if !reach[a.seq][a.seq] && b.last <= a.first {
+						continue
 					}
+				} else if !reach[a.seq][b.seq] {
+					continue
 				}
+				k := [2]int{a.fluid, b.fluid}
+				agg := pairs[k]
+				if agg == nil {
+					agg = &pairAgg{foreign: subtract(reagents[fluids[a.fluid]], reagents[fluids[b.fluid]]), s1: -1}
+					pairs[k] = agg
+				}
+				if len(agg.foreign) == 0 {
+					continue
+				}
+				if agg.s1 < 0 || a.seq < agg.s1 || a.seq == agg.s1 && b.seq < agg.s2 {
+					agg.s1, agg.s2, agg.cell = a.seq, b.seq, cell
+				}
+				agg.cells = appendCell(agg.cells, cell)
+				carrierCells[a.seq] = appendCell(carrierCells[a.seq], cell)
 			}
 		}
 	}
 
 	var hazards []Hazard
-	for _, agg := range pairs {
-		h := agg.first
-		h.Reagents = sortedKeys(agg.reagents)
-		h.Cells = len(agg.cells)
-		hazards = append(hazards, h)
+	for k, agg := range pairs {
+		if len(agg.foreign) == 0 {
+			continue
+		}
+		hazards = append(hazards, Hazard{
+			Carrier: fluids[k[0]], Victim: fluids[k[1]],
+			Reagents:     agg.foreign,
+			Cells:        agg.cells,
+			CarrierScope: scopes[agg.s1], VictimScope: scopes[agg.s2],
+			Cell: agg.cell,
+		})
 	}
 	sort.Slice(hazards, func(i, j int) bool {
 		a, b := hazards[i], hazards[j]
@@ -190,21 +225,15 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 	for _, h := range hazards {
 		rep.warnf("BF320", verify.Pos{Scope: h.VictimScope, InstrID: -1, Cycle: -1, Cell: h.Cell, HasCell: true},
 			"cross-contamination hazard: droplet %s crosses %d electrode(s) carrying unwashed residue of %s from droplet %s (%s)",
-			h.Victim, h.Cells, strings.Join(h.Reagents, ", "), h.Carrier, h.CarrierScope)
+			h.Victim, len(h.Cells), strings.Join(h.Reagents, ", "), h.Carrier, h.CarrierScope)
 	}
 
 	var suggestions []WashSuggestion
-	for _, scope := range sortedKeys2(carrierCells) {
-		cells := make([]arch.Point, 0, len(carrierCells[scope]))
-		for c := range carrierCells[scope] {
-			cells = append(cells, c)
+	for i, scope := range scopes {
+		cells := carrierCells[i]
+		if len(cells) == 0 {
+			continue
 		}
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].Y != cells[j].Y {
-				return cells[i].Y < cells[j].Y
-			}
-			return cells[i].X < cells[j].X
-		})
 		sug := WashSuggestion{After: scope, Cells: cells}
 		if tour, err := wash.Plan(u.Chip, cells, nil); err == nil && len(tour.Skipped) == 0 {
 			sug.TourCycles = tour.Cycles()
@@ -219,6 +248,15 @@ func analyzeContamination(u *verify.Unit, conf Config, rep *reporter) ([]Hazard,
 		suggestions = append(suggestions, sug)
 	}
 	return hazards, suggestions
+}
+
+// appendCell appends c unless it is already the last element: the sweep
+// visits each cell once, so this keeps the list distinct.
+func appendCell(cs []arch.Point, c arch.Point) []arch.Point {
+	if n := len(cs); n > 0 && cs[n-1] == c {
+		return cs
+	}
+	return append(cs, c)
 }
 
 // reagentSets computes, for every fluid version in the graph, the set of
@@ -274,24 +312,29 @@ func reagentSets(g *cfg.Graph) map[ir.FluidID]map[string]bool {
 	return sets
 }
 
-// reachability returns, per sequence, the set of sequences that can run
-// after it (transitive closure over the execution-order graph; a node on a
-// cycle reaches itself).
-func reachability(nodes map[string]*seqNode) map[string]map[string]bool {
-	out := map[string]map[string]bool{}
-	for scope, n := range nodes {
-		seen := map[string]bool{}
-		stack := append([]*seqNode{}, n.succs...)
+// reachability returns, indexed by position in scopes, which sequences can
+// run after each one (transitive closure over the execution-order graph; a
+// node on a cycle reaches itself).
+func reachability(scopes []string, nodes map[string]*seqNode) [][]bool {
+	idx := make(map[string]int, len(scopes))
+	for i, s := range scopes {
+		idx[s] = i
+	}
+	out := make([][]bool, len(scopes))
+	for i, s := range scopes {
+		seen := make([]bool, len(scopes))
+		stack := append([]*seqNode{}, nodes[s].succs...)
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if seen[cur.scope] {
+			j := idx[cur.scope]
+			if seen[j] {
 				continue
 			}
-			seen[cur.scope] = true
+			seen[j] = true
 			stack = append(stack, cur.succs...)
 		}
-		out[scope] = seen
+		out[i] = seen
 	}
 	return out
 }
@@ -331,20 +374,12 @@ func sortedScopes(nodes map[string]*seqNode) []string {
 	return out
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]map[arch.Point]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// sortPoints orders cells by (Y, X).
+func sortPoints(ps []arch.Point) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Y != ps[j].Y {
+			return ps[i].Y < ps[j].Y
+		}
+		return ps[i].X < ps[j].X
+	})
 }

@@ -35,6 +35,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,14 +118,19 @@ func seqCells(set map[arch.Point]bool, s *codegen.Sequence) {
 	if s == nil {
 		return
 	}
-	for _, f := range s.Frames {
+	for i, f := range s.Frames {
+		if i > 0 && slices.Equal(f, s.Frames[i-1]) {
+			continue // a repeated frame adds no cell
+		}
 		for _, c := range f {
 			set[c] = true
 		}
 	}
 	for _, tr := range s.Tracks {
-		for _, c := range tr.Cells {
-			set[c] = true
+		for i, c := range tr.Cells {
+			if i == 0 || c != tr.Cells[i-1] {
+				set[c] = true
+			}
 		}
 	}
 	for _, ev := range s.Events {

@@ -72,6 +72,11 @@ func (v *bcastVerifier) sequence(si seqInfo) {
 	mi, evIdx := 0, 0
 	seenFaulty := map[arch.Point]bool{}
 	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
+		if verify.HoldFrame(s, t, evIdx) && (mi >= len(moves) || moves[mi].Cycle > t) {
+			// The closure repeats too, so every droplet holds under it
+			// and the baseline stands still: nothing can diverge.
+			continue
+		}
 		for evIdx < len(s.Events) && s.Events[evIdx].Cycle <= t {
 			applyEvent(s.Events[evIdx], base)
 			applyEvent(s.Events[evIdx], bpos)

@@ -39,6 +39,7 @@ package pinsafe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -178,10 +179,12 @@ func (a *Analysis) scan(si seqInfo) {
 	mi := 0
 	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
 		frame := s.Frames[t]
-		for _, c := range frame {
-			if !a.usedSet[c] {
-				a.usedSet[c] = true
-				a.used = append(a.used, c)
+		if t == 0 || !slices.Equal(frame, s.Frames[t-1]) { // a repeated frame actuates no new electrode
+			for _, c := range frame {
+				if !a.usedSet[c] {
+					a.usedSet[c] = true
+					a.used = append(a.used, c)
+				}
 			}
 		}
 		if mi >= len(moves) || moves[mi].Cycle > t {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -79,14 +80,21 @@ func (c *context) dutySequence(s *codegen.Sequence, where string, limit int) {
 	}
 	run := map[[2]int]int{}   // cell -> current streak
 	worst := map[[2]int]int{} // cell -> longest streak seen
+	seen := map[[2]int]bool{}
 	// Trust len(Frames) over NumCycles: a malformed sequence declaring more
 	// cycles than it has frames is BF101's finding, not a reason to crash.
-	for t := 0; t < s.NumCycles && t < len(s.Frames); t++ {
-		seen := map[[2]int]bool{}
+	n := min(s.NumCycles, len(s.Frames))
+	for t := 0; t < n; {
+		// A run of identical frames extends every streak by its length.
+		end := t + 1
+		for end < n && slices.Equal(s.Frames[end], s.Frames[t]) {
+			end++
+		}
+		clear(seen)
 		for _, cell := range s.Frames[t] {
 			k := [2]int{cell.X, cell.Y}
 			seen[k] = true
-			run[k]++
+			run[k] += end - t
 			if run[k] > worst[k] {
 				worst[k] = run[k]
 			}
@@ -96,6 +104,7 @@ func (c *context) dutySequence(s *codegen.Sequence, where string, limit int) {
 				delete(run, k)
 			}
 		}
+		t = end
 	}
 	cells := make([][2]int, 0, len(worst))
 	for k, streak := range worst {

@@ -18,6 +18,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"biocoder/internal/arch"
 	"biocoder/internal/cfg"
@@ -311,6 +312,9 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 	}
 	seenAdj := map[[2]ir.FluidID]bool{}
 	for t := 0; t < s.NumCycles; t++ {
+		if HoldFrame(s, t, evIdx) {
+			continue // every droplet holds: nothing moves, touches or newly meets
+		}
 		if !applyEvents(t) {
 			return nil
 		}
@@ -325,6 +329,16 @@ func (r *replayer) replaySequence(scope string, s *codegen.Sequence, start map[i
 	return pos
 }
 
+// HoldFrame reports whether cycle t of s repeats the previous frame cell
+// for cell with no event at t; evIdx is the index of the first event not
+// yet applied. Once a frame has been replayed every droplet sits on an
+// active electrode, so replaying such a cycle changes nothing: the frame
+// replayers skip it and keep per-cycle semantics exact.
+func HoldFrame(s *codegen.Sequence, t, evIdx int) bool {
+	return t > 0 && (evIdx >= len(s.Events) || s.Events[evIdx].Cycle > t) &&
+		slices.Equal(s.Frames[t], s.Frames[t-1])
+}
+
 // scanStatic checks the sequence's shape without interpreting it: frame
 // count against the declared cycle count, every activated electrode on a
 // working on-chip cell, and event cycles within range.
@@ -337,6 +351,9 @@ func (r *replayer) scanStatic(scope string, s *codegen.Sequence) bool {
 	}
 	badCell := map[arch.Point]bool{}
 	for t := 0; t < len(s.Frames) && t < s.NumCycles; t++ {
+		if t > 0 && slices.Equal(s.Frames[t], s.Frames[t-1]) {
+			continue // every cell was checked, and reported, one cycle earlier
+		}
 		for _, cell := range s.Frames[t] {
 			if badCell[cell] {
 				continue
